@@ -701,28 +701,26 @@ fn pipeline_report(dme: &Mechanism) -> bool {
 /// Fermi/Kepler/Hopper and record model-evals vs simulations vs
 /// best-found cycles as the single-line `search` key of
 /// `BENCH_report.json` (preserved across `report all` rewrites, like
-/// `pipeline`). Per row the *grid* baseline is the exhaustive
-/// `candidate_grid_extended` ∪ `candidate_grid_pipelined` sweep (every
-/// candidate simulated); the search scores its candidates with the
-/// static model and simulates only the top-K. The returned gate requires,
-/// on every row: search winner ≤ grid winner on simulated probe cycles
-/// (strictly better on at least one row), simulations ≤ 25% of the
-/// candidates the search model-scored, and the winning schedule passing
-/// the independent verifier at `Strict`. Probe launches are
+/// `pipeline`). Per row the *grid* baseline is the exhaustive sweep over
+/// the extended ∪ pipelined grids ([`singe::search::grid_options`], every
+/// compiled candidate simulated); the search scores its candidates with
+/// the static model and simulates only the top-K. The returned gate
+/// requires, on every row: search winner ≤ grid winner on simulated
+/// probe cycles (strictly better on at least one row), simulations ≤ 25%
+/// of the candidates the search model-scored, and the winning schedule
+/// passing the independent verifier at `Strict`. Probe launches are
 /// deterministic (`TimingOnly`, fixed grid seed), so the recorded
 /// numbers are exact and byte-stable — CI diffs them against the
 /// committed entry.
 fn search_report(dme: &Mechanism, archs: &[GpuArch], jobs: usize) -> bool {
     use chemkin::state::{GridDims, GridState};
     use gpu_sim::launch::{launch, LaunchInputs, LaunchMode};
-    use singe::autotune::{autotune_with_jobs, candidate_grid_extended, candidate_grid_pipelined};
     use singe::kernels::launch_arrays;
-    use singe::search::{autotune_search_with_jobs, SearchBudget};
+    use singe::search::{depth_menu, grid_options, search_kernel, SearchBudget, SearchSpace};
     use singe::verify::verify_kernel;
-    use std::collections::HashSet;
 
     const PROBE_POINTS: usize = 4096;
-    let budget = SearchBudget::default();
+    let budget = SearchBudget::builder().jobs(jobs).build();
     let n_species = dme.n_transported();
     println!(
         "== model-driven schedule search vs committed grids (dme, {} pts probe) ==",
@@ -788,20 +786,32 @@ fn search_report(dme: &Mechanism, archs: &[GpuArch], jobs: usize) -> bool {
             };
 
             // The committed-grid baseline: exhaustive sweep (every
-            // candidate simulated) over the unified grids.
-            let mut grid_cands = candidate_grid_extended(base.placement);
-            grid_cands.extend(candidate_grid_pipelined(base.placement, arch));
-            let mut seen = HashSet::new();
-            grid_cands.retain(|c| seen.insert(format!("{c:?}")));
-            let grid = autotune_with_jobs(&dfg, arch, &grid_cands, PROBE_POINTS, &inputs, jobs)
-                .expect("some grid candidate compiles");
-            let grid_simulations = grid.points.iter().filter(|p| p.seconds.is_some()).count();
+            // compiled candidate simulated) over the unified grids.
+            let mut grid_cands = grid_options(base.placement, &[1, 2, 4], &[1]);
+            grid_cands.extend(grid_options(base.placement, &[1, 4], depth_menu(arch)));
+            let sweep = SearchBudget::builder()
+                .rounds(0)
+                .max_model_evals(grid_cands.len())
+                .sim_top_k(grid_cands.len())
+                .jobs(jobs)
+                .build();
+            let space = SearchSpace::for_arch(arch);
+            let grid =
+                search_kernel(&dfg, arch, &space, &grid_cands, &sweep, PROBE_POINTS, &inputs)
+                    .expect("some grid candidate compiles");
             let (grid_best_cycles, grid_best_secs) = probe(&grid.best.kernel, arch);
 
             // The search: model as cost, simulation as oracle.
-            let search =
-                autotune_search_with_jobs(&dfg, arch, &base, &budget, PROBE_POINTS, &inputs, jobs)
-                    .expect("search finds a runnable schedule");
+            let search = search_kernel(
+                &dfg,
+                arch,
+                &space,
+                &space.seeds(&base),
+                &budget,
+                PROBE_POINTS,
+                &inputs,
+            )
+            .expect("search finds a runnable schedule");
             let (search_best_cycles, search_best_secs) = probe(&search.best.kernel, arch);
             let model_cycles = gpu_sim::model::predict_cycles(&search.best.kernel, arch)
                 .expect("model scores verified kernels");
@@ -810,8 +820,8 @@ fn search_report(dme: &Mechanism, archs: &[GpuArch], jobs: usize) -> bool {
             let row = SearchRow {
                 kernel: kind.name(),
                 arch: arch.name,
-                grid_candidates: grid_cands.len(),
-                grid_simulations,
+                grid_candidates: grid.outcome.model_evals,
+                grid_simulations: grid.outcome.simulations,
                 grid_best_cycles,
                 grid_best_us: grid_best_secs * 1e6,
                 model_evals: search.outcome.model_evals,

@@ -1,12 +1,12 @@
 //! Differential test harness for the analytical performance model
 //! (§4/§5/§6 features, no interpretation) against the simulator:
 //!
-//! * over the full extended autotune candidate grid for the DME-sized
-//!   viscosity and diffusion kernels on both architectures, the model's
-//!   predicted seconds rank-correlate with simulated seconds at
-//!   Spearman ρ ≥ [`SPEARMAN_GOLDEN`], and the exhaustive winner is
-//!   always inside the model's top-[`singe::autotune::GUIDED_TOP_K`];
-//! * model-guided autotuning simulates ≤ 25% of the grid yet lands
+//! * over the full extended candidate grid for the DME-sized viscosity
+//!   and diffusion kernels on both architectures, the model's predicted
+//!   seconds rank-correlate with simulated seconds at Spearman
+//!   ρ ≥ [`SPEARMAN_GOLDEN`], and the exhaustive sweep's winner is always
+//!   inside the model's top-K (the default `SearchBudget::sim_top_k`);
+//! * the model-guided sweep simulates ≤ 25% of the grid yet lands
 //!   within [`WINNER_TOLERANCE`] of the exhaustive winner's simulated
 //!   time — on all three kernels (chemistry included) × both arches;
 //! * the model's per-warp-group attribution agrees with the runtime
@@ -21,12 +21,10 @@ use chemkin::state::{GridDims, GridState};
 use chemkin::synth;
 use chemkin::Mechanism;
 use gpu_sim::arch::GpuArch;
-use singe::autotune::{
-    autotune, autotune_guided, candidate_grid_extended, TuneResult, GUIDED_TOP_K,
-};
 use singe::config::{CompileOptions, Placement};
 use singe::dfg::Dfg;
 use singe::kernels::{chemistry, diffusion, launch_arrays, viscosity};
+use singe::search::{grid_options, search_kernel, SearchBudget, SearchPoint, SearchSpace};
 use singe_bench::{build_with_options, predict_built, profile_built, spearman, Kind, Variant};
 
 /// Golden: minimum Spearman rank correlation between predicted and
@@ -73,7 +71,7 @@ fn grid_for(kind: Kind) -> Vec<CompileOptions> {
         Kind::Diffusion => Placement::Mixed(176),
         Kind::Chemistry => Placement::Buffer(176),
     };
-    candidate_grid_extended(placement)
+    grid_options(placement, &[1, 2, 4], &[1])
 }
 
 fn inputs_closure(
@@ -89,8 +87,8 @@ fn inputs_closure(
     }
 }
 
-/// Identity of a tune point for cross-result comparison.
-fn key(p: &singe::autotune::TunePoint) -> (usize, u32) {
+/// Identity of a sweep point for cross-result comparison.
+fn key(p: &SearchPoint) -> (usize, u32) {
     (p.options.warps, p.options.point_iters)
 }
 
@@ -101,14 +99,22 @@ fn check_sweep(kind: Kind, mech: &Mechanism, arch: &GpuArch) {
     let dfg = sweep_dfg(kind, mech);
     let cands = grid_for(kind);
     let inputs = inputs_closure(mech.n_transported());
-    let exhaustive = autotune(&dfg, arch, &cands, 256, &inputs).expect("exhaustive sweep runs");
+    let top_k = SearchBudget::default().sim_top_k;
+    let space = SearchSpace::for_arch(arch);
+    let sweep = |sim_top_k: usize| {
+        let n = cands.len();
+        let budget =
+            SearchBudget::builder().rounds(0).max_model_evals(n).sim_top_k(sim_top_k).build();
+        search_kernel(&dfg, arch, &space, &cands, &budget, 256, &inputs).map(|r| r.outcome)
+    };
+    let exhaustive = sweep(cands.len()).expect("exhaustive sweep runs");
 
     // Differential: model ranking vs simulated truth over every candidate
     // that both compiled and ran.
     let mut preds = Vec::new();
     let mut sims = Vec::new();
     for p in &exhaustive.points {
-        if let (Some(pr), Some(s)) = (p.predicted_seconds, p.seconds) {
+        if let (Some(pr), Some(s)) = (p.predicted_seconds, p.simulated_seconds) {
             preds.push(pr);
             sims.push(s);
         }
@@ -129,46 +135,36 @@ fn check_sweep(kind: Kind, mech: &Mechanism, arch: &GpuArch) {
     let best_sim = exhaustive
         .points
         .iter()
-        .filter(|p| p.seconds.is_some())
-        .min_by(|a, b| a.seconds.partial_cmp(&b.seconds).expect("finite"))
+        .filter(|p| p.simulated_seconds.is_some())
+        .min_by(|a, b| a.simulated_seconds.partial_cmp(&b.simulated_seconds).expect("finite"))
         .expect("some candidate ran");
-    let mut by_pred: Vec<&singe::autotune::TunePoint> =
+    let mut by_pred: Vec<&SearchPoint> =
         exhaustive.points.iter().filter(|p| p.predicted_seconds.is_some()).collect();
     by_pred.sort_by(|a, b| {
         a.predicted_seconds.partial_cmp(&b.predicted_seconds).expect("finite")
     });
-    let top_k: Vec<(usize, u32)> = by_pred.iter().take(GUIDED_TOP_K).map(|p| key(p)).collect();
+    let top: Vec<(usize, u32)> = by_pred.iter().take(top_k).map(|p| key(p)).collect();
     assert!(
-        top_k.contains(&key(best_sim)),
-        "{label}: exhaustive winner {:?} not in model top-{GUIDED_TOP_K} {top_k:?}",
+        top.contains(&key(best_sim)),
+        "{label}: exhaustive winner {:?} not in model top-{top_k} {top:?}",
         key(best_sim)
     );
 
     // Guided search: simulates at most 25% of the grid, lands within 2%.
-    let guided =
-        autotune_guided(&dfg, arch, &cands, 256, GUIDED_TOP_K, &inputs).expect("guided runs");
-    let simulated = guided.points.iter().filter(|p| p.seconds.is_some()).count();
+    let guided = sweep(top_k).expect("guided sweep runs");
+    let simulated = guided.points.iter().filter(|p| p.simulated_seconds.is_some()).count();
     assert!(
         (simulated as f64) <= SIMULATED_FRACTION * cands.len() as f64,
         "{label}: guided simulated {simulated} of {} candidates (> {SIMULATED_FRACTION:.0e})",
         cands.len()
     );
-    let guided_best = winner_seconds(&guided);
-    let exhaustive_best = best_sim.seconds.expect("winner ran");
+    let guided_best = guided.best_seconds;
+    let exhaustive_best = best_sim.simulated_seconds.expect("winner ran");
     assert!(
         guided_best <= exhaustive_best * WINNER_TOLERANCE,
         "{label}: guided winner {guided_best:.4e}s misses exhaustive {exhaustive_best:.4e}s \
          by more than {WINNER_TOLERANCE}x"
     );
-}
-
-fn winner_seconds(r: &TuneResult) -> f64 {
-    let k = (r.best_options.warps, r.best_options.point_iters);
-    r.points
-        .iter()
-        .filter(|p| key(p) == k)
-        .find_map(|p| p.seconds)
-        .expect("winner has a simulated time")
 }
 
 #[test]

@@ -107,24 +107,11 @@ impl Compiler {
         Ok((compiled, spans))
     }
 
-    /// Predict a compiled kernel's performance for a `grid_points`-point
-    /// launch on this compiler's architecture using the static analytical
-    /// model ([`crate::perfmodel`]) — no interpretation. The returned
-    /// report's `seconds()` is directly comparable to a simulated probe.
-    pub fn predict(
-        &self,
-        kernel: &gpu_sim::isa::Kernel,
-        grid_points: usize,
-    ) -> CResult<crate::perfmodel::ModelReport> {
-        crate::perfmodel::predict(kernel, &self.arch, grid_points)
-    }
-
     /// Model-driven schedule search over the full options space
-    /// ([`crate::search`]): beam-search candidates scored by
-    /// [`Compiler::predict`]'s model, simulate only the top-K survivors
-    /// as the oracle, seeded at this compiler's options. `inputs_for`
-    /// supplies probe-launch inputs per candidate kernel, exactly as in
-    /// [`crate::autotune::autotune`].
+    /// ([`crate::search`]): beam-search candidates scored by the static
+    /// model ([`crate::perfmodel`]), simulate only the top-K survivors as
+    /// the oracle, seeded at this compiler's options. `inputs_for`
+    /// supplies probe-launch inputs per candidate kernel.
     pub fn search(
         &self,
         dfg: &Dfg,
@@ -132,10 +119,12 @@ impl Compiler {
         probe_points: usize,
         inputs_for: &(dyn Fn(&gpu_sim::isa::Kernel, usize) -> Vec<Vec<f64>> + Sync),
     ) -> CResult<crate::search::SearchResult> {
-        crate::search::autotune_search(
+        let space = crate::search::SearchSpace::for_arch(&self.arch);
+        crate::search::search_kernel(
             dfg,
             &self.arch,
-            &self.options,
+            &space,
+            &space.seeds(&self.options),
             budget,
             probe_points,
             inputs_for,

@@ -31,7 +31,6 @@
 // idiom in the numeric kernels here; iterator rewrites obscure them.
 #![allow(clippy::needless_range_loop)]
 
-pub mod autotune;
 pub mod baseline;
 pub mod barrier_alloc;
 pub mod codegen;
@@ -56,8 +55,7 @@ pub use compiler::{Compiler, Variant};
 pub use config::{CompileOptions, CompileOptionsBuilder, Placement};
 pub use perfmodel::ModelReport;
 pub use search::{
-    BeamSearch, ScheduleSearch, SearchBudget, SearchBudgetBuilder, SearchOutcome, SearchResult,
-    SearchSpace, SimulatedAnnealing,
+    SearchBudget, SearchBudgetBuilder, SearchFailure, SearchOutcome, SearchResult, SearchSpace,
 };
 pub use verify::{VerifyFailure, VerifyLevel, VerifyReport, Violation, ViolationKind};
 pub use dfg::{Dfg, OpId, Operation};

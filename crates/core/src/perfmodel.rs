@@ -49,7 +49,7 @@ pub fn predict(kernel: &Kernel, arch: &GpuArch, grid_points: usize) -> CResult<M
     Ok(ModelReport { profile, report })
 }
 
-/// Scoring hook for search loops ([`crate::search`], guided autotuning):
+/// Scoring hook for the schedule search ([`crate::search`]):
 /// just the predicted seconds, `None` when the model rejects the kernel
 /// (it never does for verified compiles). One compile + one call of this
 /// is a full model evaluation — microseconds, no interpretation.

@@ -1,21 +1,26 @@
-//! Model-driven schedule search (ROADMAP item 5).
+//! Model-driven schedule search: the one tuning driver.
 //!
-//! The autotuner's grids ([`crate::autotune`]) enumerate a fixed, coarse
-//! slice of the schedule space. This module searches the *full*
-//! [`CompileOptions`] space — warps, `point_iters`, [`Placement`],
-//! `uniform_shared_reads`, `exp_const_from_registers`, the mapping
-//! weights on a coarse lattice, and the arch-clamped `pipeline_depth` —
-//! with the static performance model ([`crate::perfmodel`], microseconds
-//! per evaluation) as the cost function and the simulator as the final
-//! oracle, mirroring [`crate::autotune::autotune_guided`]'s contract:
+//! [`run_search`] scores candidates with the static performance model
+//! ([`crate::perfmodel`], microseconds per evaluation) and uses the
+//! simulator only as the final oracle:
 //!
-//! 1. a strategy ([`BeamSearch`] by default, [`SimulatedAnnealing`]
-//!    behind the same [`ScheduleSearch`] trait) expands candidates and
-//!    scores every one with the model (compile + predict, no
-//!    interpretation); candidates that fail to compile score `+inf`,
-//!    exactly as in serve's autotune;
-//! 2. only the `sim_top_k` best-predicted survivors are *simulated*,
-//!    and the winner is the best **simulated** time among those.
+//! 1. score an explicit seed list, then, for `budget.rounds` rounds, the
+//!    single-dimension neighbors ([`SearchSpace::neighbors`]) of the
+//!    `beam_width` best-predicted candidates so far (compile + predict,
+//!    no interpretation); a candidate that fails to compile records a
+//!    [`SearchFailure::Compile`] and is never simulated;
+//! 2. simulate only the `sim_top_k` best-predicted compiled candidates;
+//!    the winner is the best **simulated** time among those.
+//!
+//! The paper's brute-force sweep (§4) and model-guided pruning are this
+//! same call over a fixed candidate list (typically [`grid_options`]):
+//! the candidates as seeds, `rounds(0)`, `max_model_evals` equal to the
+//! list length, and `sim_top_k` equal to the list length (exhaustive) or
+//! 5 (guided). The full-space beam search seeds from
+//! [`SearchSpace::seeds`] instead and walks the whole [`CompileOptions`]
+//! space — warps, `point_iters`, [`Placement`], `uniform_shared_reads`,
+//! `exp_const_from_registers`, the mapping weights on a coarse lattice,
+//! and the arch-clamped `pipeline_depth`.
 //!
 //! Neighbor generation respects architecture feasibility up front
 //! ([`SearchSpace::canonical`]: warp budget, largest-fitting pipeline
@@ -24,11 +29,9 @@
 //!
 //! Determinism: candidate expansion is pure, batches are scored on the
 //! ordered worker pool ([`crate::pool::run_ordered`]) and folded in
-//! input order, all ranking ties break toward the earlier candidate, and
-//! [`SimulatedAnnealing`] draws from a fixed-seed xorshift generator —
-//! results are bit-identical at any `--jobs` count.
+//! input order, and every ranking tie breaks toward the earlier-evaluated
+//! candidate — results are bit-identical at any `budget.jobs`.
 
-use crate::autotune::{depth_menu, grid_options, GUIDED_TOP_K};
 use crate::codegen::{compile_warp_specialized, Compiled};
 use crate::config::{CompileOptions, Placement};
 use crate::dfg::Dfg;
@@ -38,11 +41,10 @@ use gpu_sim::arch::GpuArch;
 use gpu_sim::launch::{launch, LaunchInputs, LaunchMode};
 use std::collections::HashSet;
 
-/// How much work a schedule search (or budgeted guided autotune) may do.
+/// How much work a schedule search may do.
 ///
 /// `#[non_exhaustive]` so new knobs can ride along without breaking
-/// downstream code; construct with [`SearchBudget::default`] (which
-/// reproduces the historical behavior everywhere it is consumed) or the
+/// downstream code; construct with [`SearchBudget::default`] or the
 /// fluent [`SearchBudget::builder`].
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -50,19 +52,29 @@ pub struct SearchBudget {
     /// Beam width: how many best-predicted candidates seed each round's
     /// neighbor expansion.
     pub beam_width: usize,
-    /// Neighbor-expansion rounds after the seed beam is scored.
+    /// Neighbor-expansion rounds after the seeds are scored (0 = a sweep
+    /// of the seed list).
     pub rounds: usize,
-    /// How many top-predicted candidates the simulation oracle runs
-    /// (the lifted [`GUIDED_TOP_K`] cap — no longer a silent constant).
+    /// How many top-predicted candidates the simulation oracle runs.
     pub sim_top_k: usize,
     /// Hard cap on model scorings (each is one compile + one static
-    /// prediction); expansion stops when the cap is reached.
+    /// prediction); seeding and expansion stop when the cap is reached.
     pub max_model_evals: usize,
+    /// Worker threads [`search_kernel`] compiles and simulates on
+    /// (default [`crate::pool::default_jobs`]); results are identical at
+    /// any count. Serve's search uses its compile farm instead.
+    pub jobs: usize,
 }
 
 impl Default for SearchBudget {
     fn default() -> SearchBudget {
-        SearchBudget { beam_width: 8, rounds: 4, sim_top_k: GUIDED_TOP_K, max_model_evals: 160 }
+        SearchBudget {
+            beam_width: 8,
+            rounds: 4,
+            sim_top_k: 5,
+            max_model_evals: 160,
+            jobs: crate::pool::default_jobs(),
+        }
     }
 }
 
@@ -106,9 +118,65 @@ impl SearchBudgetBuilder {
         self
     }
 
+    /// Worker-thread count.
+    pub fn jobs(mut self, jobs: usize) -> Self {
+        self.budget.jobs = jobs;
+        self
+    }
+
     /// Finish the builder.
     pub fn build(self) -> SearchBudget {
         self.budget
+    }
+}
+
+/// The warp-count axis of [`grid_options`].
+const GRID_WARPS: &[usize] = &[2, 3, 4, 6, 8, 10, 12, 16];
+
+/// The coarse candidate grid the paper's autotuner sweeps (§4): "We used
+/// a brute-force exhaustive autotuning script to drive Singe when tuning
+/// our kernels. ... the search space was never more than a few hundred
+/// points because warp-specialized decisions dealt with very
+/// coarse-grained properties such as the number of target warps."
+///
+/// The cartesian product of eight warp counts x `iters` x `depths`,
+/// holding the placement fixed. Depth only matters on streamed
+/// schedules, so K > 1 candidates are generated only where `point_iters`
+/// can absorb the depth (the compiler would clamp K to the stream depth
+/// anyway, producing duplicates). [`SearchSpace::seeds`] is built from
+/// the same function, so the enumeration order — which decides
+/// first-best-wins ties — has one source of truth.
+pub fn grid_options(placement: Placement, iters: &[u32], depths: &[usize]) -> Vec<CompileOptions> {
+    let mut v = Vec::new();
+    for &warps in GRID_WARPS {
+        for &iters in iters {
+            for &k in depths {
+                if k as u32 > iters {
+                    continue; // the compiler would clamp K to the stream depth
+                }
+                v.push(CompileOptions {
+                    warps,
+                    point_iters: iters,
+                    placement,
+                    pipeline_depth: k,
+                    ..Default::default()
+                });
+            }
+        }
+    }
+    v
+}
+
+/// The pipeline-depth menu an architecture's named-barrier file supports
+/// (§5.2 K-stage multi-buffered schedules): wider where the file is
+/// large, since every sync color costs K ids instead of one. Candidates
+/// whose rotated-barrier demand still exceeds the file are legal probes —
+/// they record a [`SearchFailure::Compile`] and lose.
+pub fn depth_menu(arch: &GpuArch) -> &'static [usize] {
+    if arch.named_barriers_per_sm >= 64 {
+        &[1, 2, 4]
+    } else {
+        &[1, 2]
     }
 }
 
@@ -202,8 +270,7 @@ impl SearchSpace {
 
     /// The seed beam: `base` itself plus the unified grid
     /// ([`grid_options`]) over this space's warp/iteration/depth menus at
-    /// the base placement — the same single source of truth the legacy
-    /// candidate grids are built from.
+    /// the base placement, canonicalized and deduplicated.
     pub fn seeds(&self, base: &CompileOptions) -> Vec<CompileOptions> {
         let mut out = Vec::new();
         let mut seen = HashSet::new();
@@ -350,250 +417,124 @@ fn menu_steps<T: Copy + PartialEq>(menu: &[T], v: T, as_f: impl Fn(&T) -> f64) -
     out
 }
 
+/// A batch closure of [`run_search`]: candidates in, one result per
+/// candidate out, in input order.
+type BatchFn<'a> = dyn FnMut(&[CompileOptions]) -> Vec<Result<f64, String>> + 'a;
+
 /// One model-scored candidate, in evaluation order.
-#[derive(Debug, Clone)]
-pub struct ExploredPoint {
-    /// The canonical candidate.
-    pub options: CompileOptions,
-    /// Model-predicted probe-grid seconds (`+inf` = did not compile).
-    pub predicted_seconds: f64,
-    /// Which expansion round produced it (0 = seed beam).
-    pub round: usize,
+struct Scored {
+    options: CompileOptions,
+    /// Model-predicted probe seconds (`Err` = did not compile).
+    score: Result<f64, String>,
+    /// Which expansion round produced it (0 = seed list).
+    round: usize,
 }
 
-/// Batch oracle closure: chosen survivors in, measured probe seconds
-/// out, in input order (`Err` = launch failure, carried verbatim onto
-/// the corresponding [`SearchPoint`]).
-pub type SimulateFn<'a> = dyn FnMut(&[CompileOptions]) -> Vec<Result<f64, String>> + 'a;
-
-/// A search strategy: expand candidates, score them in batches through
-/// the caller's cost closure, return every scored point in evaluation
-/// order. Strategies never simulate — the oracle split lives in
-/// [`run_search`], shared by every implementation.
-pub trait ScheduleSearch: Sync {
-    /// Strategy name (for logs and reports).
-    fn name(&self) -> &'static str;
-
-    /// Explore the space from `base` under `budget`. `score` maps a
-    /// batch of canonical candidates to predicted seconds (`+inf` for
-    /// candidates that fail to compile) and must be called in
-    /// deterministic batch order.
-    fn explore(
-        &self,
-        space: &SearchSpace,
-        base: &CompileOptions,
-        budget: &SearchBudget,
-        score: &mut dyn FnMut(&[CompileOptions]) -> Vec<f64>,
-    ) -> Vec<ExploredPoint>;
-}
-
-/// Deterministic beam search: score the seed beam (the unified grid),
-/// then for each round expand single-dimension neighbors of the
-/// `beam_width` best-predicted candidates seen so far, skipping
-/// everything already scored, until the round count or the
-/// model-evaluation cap is reached.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BeamSearch;
-
-impl ScheduleSearch for BeamSearch {
-    fn name(&self) -> &'static str {
-        "beam"
+impl Scored {
+    /// The prediction, when the candidate compiled and the model scored it.
+    fn predicted(&self) -> Option<f64> {
+        self.score.as_ref().ok().copied().filter(|s| s.is_finite())
     }
+}
 
-    fn explore(
-        &self,
-        space: &SearchSpace,
-        base: &CompileOptions,
-        budget: &SearchBudget,
-        score: &mut dyn FnMut(&[CompileOptions]) -> Vec<f64>,
-    ) -> Vec<ExploredPoint> {
-        let mut points: Vec<ExploredPoint> = Vec::new();
-        let mut seen: HashSet<String> = HashSet::new();
+/// Score the deduplicated `seeds`, then for each round expand the
+/// single-dimension neighbors of the `beam_width` best-predicted
+/// candidates seen so far, skipping everything already scored, until the
+/// round count or the model-evaluation cap is reached.
+fn explore(
+    space: &SearchSpace,
+    seeds: &[CompileOptions],
+    budget: &SearchBudget,
+    score: &mut BatchFn<'_>,
+) -> Vec<Scored> {
+    let mut seen: HashSet<String> = HashSet::new();
+    let batch: Vec<CompileOptions> = seeds
+        .iter()
+        .filter(|s| seen.insert(SearchSpace::key(s)))
+        .take(budget.max_model_evals)
+        .cloned()
+        .collect();
+    let scores = score(&batch);
+    let mut points: Vec<Scored> = batch
+        .into_iter()
+        .zip(scores)
+        .map(|(options, score)| Scored { options, score, round: 0 })
+        .collect();
+
+    for round in 1..=budget.rounds {
+        let headroom = budget.max_model_evals.saturating_sub(points.len());
+        if headroom == 0 {
+            break;
+        }
+        // The beam: best-predicted candidates scored so far, ties toward
+        // the earlier evaluation.
+        let mut order: Vec<(f64, usize)> =
+            points.iter().enumerate().filter_map(|(i, p)| Some((p.predicted()?, i))).collect();
+        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut batch: Vec<CompileOptions> = Vec::new();
-        for s in space.seeds(base) {
-            if points.len() + batch.len() >= budget.max_model_evals {
-                break;
-            }
-            if seen.insert(SearchSpace::key(&s)) {
-                batch.push(s);
-            }
-        }
-        let scores = score(&batch);
-        for (o, s) in batch.into_iter().zip(scores) {
-            points.push(ExploredPoint { options: o, predicted_seconds: s, round: 0 });
-        }
-
-        for round in 1..=budget.rounds {
-            let headroom = budget.max_model_evals.saturating_sub(points.len());
-            if headroom == 0 {
-                break;
-            }
-            // The beam: best-predicted finite candidates scored so far,
-            // ties toward the earlier evaluation.
-            let mut order: Vec<usize> =
-                (0..points.len()).filter(|&i| points[i].predicted_seconds.is_finite()).collect();
-            order.sort_by(|&a, &b| {
-                points[a]
-                    .predicted_seconds
-                    .total_cmp(&points[b].predicted_seconds)
-                    .then(a.cmp(&b))
-            });
-            let mut batch: Vec<CompileOptions> = Vec::new();
-            'expand: for &i in order.iter().take(budget.beam_width) {
-                for n in space.neighbors(&points[i].options) {
-                    if batch.len() >= headroom {
-                        break 'expand;
-                    }
-                    if seen.insert(SearchSpace::key(&n)) {
-                        batch.push(n);
-                    }
+        'expand: for &(_, i) in order.iter().take(budget.beam_width) {
+            for n in space.neighbors(&points[i].options) {
+                if batch.len() >= headroom {
+                    break 'expand;
+                }
+                if seen.insert(SearchSpace::key(&n)) {
+                    batch.push(n);
                 }
             }
-            if batch.is_empty() {
-                break; // converged: the beam's whole neighborhood is scored
-            }
-            let scores = score(&batch);
-            for (o, s) in batch.into_iter().zip(scores) {
-                points.push(ExploredPoint { options: o, predicted_seconds: s, round });
-            }
         }
-        points
-    }
-}
-
-/// Deterministic simulated annealing behind the same trait: a fixed-seed
-/// xorshift random walk over single-dimension neighbor moves with a
-/// geometric temperature schedule; worse candidates are accepted with
-/// probability `exp(-rel_delta / T)`. Scored points accumulate exactly
-/// like the beam's, so [`run_search`]'s oracle phase is identical.
-#[derive(Debug, Clone, Copy)]
-pub struct SimulatedAnnealing {
-    /// RNG seed: same seed, same space, same budget → bit-identical walk.
-    pub seed: u64,
-    /// Starting relative temperature.
-    pub t0: f64,
-    /// Final relative temperature.
-    pub t1: f64,
-}
-
-impl Default for SimulatedAnnealing {
-    fn default() -> SimulatedAnnealing {
-        SimulatedAnnealing { seed: 0x5143_ED01_u64, t0: 0.30, t1: 0.01 }
-    }
-}
-
-/// xorshift64* — tiny, deterministic, dependency-free.
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0.max(1);
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn next_f64(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
-impl ScheduleSearch for SimulatedAnnealing {
-    fn name(&self) -> &'static str {
-        "anneal"
-    }
-
-    fn explore(
-        &self,
-        space: &SearchSpace,
-        base: &CompileOptions,
-        budget: &SearchBudget,
-        score: &mut dyn FnMut(&[CompileOptions]) -> Vec<f64>,
-    ) -> Vec<ExploredPoint> {
-        let mut rng = XorShift(self.seed | 1);
-        let mut points: Vec<ExploredPoint> = Vec::new();
-        let mut seen: HashSet<String> = HashSet::new();
-        let seeds: Vec<CompileOptions> = space
-            .seeds(base)
-            .into_iter()
-            .filter(|s| seen.insert(SearchSpace::key(s)))
-            .take(budget.max_model_evals)
-            .collect();
-        let scores = score(&seeds);
-        for (o, s) in seeds.into_iter().zip(scores) {
-            points.push(ExploredPoint { options: o, predicted_seconds: s, round: 0 });
+        if batch.is_empty() {
+            break; // converged: the beam's whole neighborhood is scored
         }
-        // Walk from the best-predicted seed.
-        let mut cur = match points
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.predicted_seconds.is_finite())
-            .min_by(|(a, pa), (b, pb)| {
-                pa.predicted_seconds.total_cmp(&pb.predicted_seconds).then(a.cmp(b))
-            }) {
-            Some((i, _)) => i,
-            None => return points, // nothing compiled; oracle phase will report
-        };
-        let steps = budget.max_model_evals.saturating_sub(points.len());
-        for step in 0..steps {
-            let fresh: Vec<CompileOptions> = space
-                .neighbors(&points[cur].options)
-                .into_iter()
-                .filter(|n| !seen.contains(&SearchSpace::key(n)))
-                .collect();
-            if fresh.is_empty() {
-                // Dead-ended: restart from a random already-scored point.
-                cur = (rng.next() % points.len() as u64) as usize;
-                continue;
-            }
-            let pick = fresh[(rng.next() % fresh.len() as u64) as usize].clone();
-            seen.insert(SearchSpace::key(&pick));
-            let s = score(std::slice::from_ref(&pick))[0];
-            points.push(ExploredPoint {
-                options: pick,
-                predicted_seconds: s,
-                round: step + 1,
-            });
-            let cur_s = points[cur].predicted_seconds;
-            let t = self.t0 * (self.t1 / self.t0).powf(step as f64 / steps.max(1) as f64);
-            let accept = if !s.is_finite() {
-                false
-            } else if s < cur_s || !cur_s.is_finite() {
-                true
-            } else {
-                let rel = (s - cur_s) / cur_s.abs().max(f64::MIN_POSITIVE);
-                rng.next_f64() < (-rel / t.max(1e-9)).exp()
-            };
-            if accept {
-                cur = points.len() - 1;
-            }
+        let scores = score(&batch);
+        points.extend(
+            batch.into_iter().zip(scores).map(|(options, score)| Scored { options, score, round }),
+        );
+    }
+    points
+}
+
+/// Why a candidate produced no time. A config that does not fit is a
+/// legal probe result; a kernel that compiled but failed to launch points
+/// at a harness or compiler bug — the two must not be conflated.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SearchFailure {
+    /// The candidate did not compile (message from the compiler).
+    Compile(String),
+    /// The candidate compiled but the probe launch failed (message from
+    /// the simulator).
+    Launch(String),
+}
+
+impl std::fmt::Display for SearchFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SearchFailure::Compile(m) => write!(f, "did not compile: {m}"),
+            SearchFailure::Launch(m) => write!(f, "compiled but failed to run: {m}"),
         }
-        points
     }
 }
 
 /// One candidate in a [`SearchOutcome`], in evaluation order.
 #[derive(Debug, Clone)]
 pub struct SearchPoint {
-    /// The canonical candidate.
+    /// The candidate, exactly as scored.
     pub options: CompileOptions,
-    /// Model-predicted probe seconds (`None` = did not compile).
+    /// Model-predicted probe seconds (`None` = did not compile, or the
+    /// model rejected the kernel).
     pub predicted_seconds: Option<f64>,
     /// Oracle-simulated probe seconds (`None` = pruned from simulation,
-    /// or the simulation failed — see `failure`).
+    /// or it failed — see `failure`).
     pub simulated_seconds: Option<f64>,
-    /// Simulation-failure message, when the oracle ran and failed.
-    pub failure: Option<String>,
-    /// Expansion round that produced the candidate (0 = seed beam).
+    /// Why the candidate has no time, when it failed.
+    pub failure: Option<SearchFailure>,
+    /// Expansion round that produced the candidate (0 = seed list).
     pub round: usize,
 }
 
 /// Per-round trajectory entry (for the `--search` example and reports).
 #[derive(Debug, Clone, Copy)]
 pub struct RoundStats {
-    /// Round index (0 = seed beam).
+    /// Round index (0 = seed list).
     pub round: usize,
     /// Candidates scored in this round.
     pub evaluated: usize,
@@ -607,8 +548,6 @@ pub struct RoundStats {
 /// Everything a search run produced: the audit trail plus the winner.
 #[derive(Debug, Clone)]
 pub struct SearchOutcome {
-    /// Which strategy ran (`"beam"` / `"anneal"`).
-    pub strategy: &'static str,
     /// Every scored candidate, in evaluation order, with oracle results
     /// attached to the simulated ones.
     pub points: Vec<SearchPoint>,
@@ -637,42 +576,42 @@ impl SearchOutcome {
     }
 }
 
-/// Run a strategy end to end with caller-supplied cost and oracle
+/// Run the search end to end with caller-supplied cost and oracle
 /// closures, returning the full [`SearchOutcome`].
 ///
-/// This is the engine behind [`autotune_search`] and the serve layer's
-/// budgeted autotune: `score` maps a candidate batch to model-predicted
-/// seconds (`+inf` = did not compile), `simulate` maps the chosen
-/// survivors to measured probe seconds (`Err` = launch failure). The
-/// oracle phase ranks every finite-scored candidate by (prediction,
-/// evaluation order), simulates the top `budget.sim_top_k`, logs how
-/// many scored candidates were dropped, and picks the best simulated
-/// time (strict `<`, first-best-wins in rank order).
+/// This is the engine behind [`search_kernel`] and the serve layer's
+/// search: `score` maps a candidate batch to model-predicted seconds
+/// (`Err` = did not compile; `+inf` = the model rejected a compiled
+/// kernel), `simulate` maps the chosen survivors to measured probe
+/// seconds (`Err` = launch failure). The oracle phase ranks every
+/// compiled candidate by (prediction, evaluation order), simulates the
+/// top `budget.sim_top_k`, logs how many compiled candidates were
+/// dropped, and picks the best simulated time; ties go to the
+/// earlier-evaluated candidate (input order, for a sweep).
 pub fn run_search(
-    strategy: &dyn ScheduleSearch,
     space: &SearchSpace,
-    base: &CompileOptions,
+    seeds: &[CompileOptions],
     budget: &SearchBudget,
-    score: &mut dyn FnMut(&[CompileOptions]) -> Vec<f64>,
-    simulate: &mut SimulateFn<'_>,
+    score: &mut BatchFn<'_>,
+    simulate: &mut BatchFn<'_>,
 ) -> CResult<SearchOutcome> {
-    let explored = strategy.explore(space, base, budget, score);
+    let explored = explore(space, seeds, budget, score);
     let model_evals = explored.len();
 
     // Oracle phase: rank by (predicted, eval order), simulate the top K.
-    let mut ranked: Vec<usize> =
-        (0..explored.len()).filter(|&i| explored[i].predicted_seconds.is_finite()).collect();
-    ranked.sort_by(|&a, &b| {
-        explored[a].predicted_seconds.total_cmp(&explored[b].predicted_seconds).then(a.cmp(&b))
-    });
-    let feasible = ranked.len();
-    let chosen: Vec<usize> = ranked.into_iter().take(budget.sim_top_k).collect();
+    let mut ranked: Vec<(f64, usize)> = explored
+        .iter()
+        .enumerate()
+        .filter_map(|(i, p)| Some((*p.score.as_ref().ok()?, i)))
+        .collect();
+    ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let compiled = ranked.len();
+    let chosen: Vec<usize> = ranked.into_iter().take(budget.sim_top_k).map(|(_, i)| i).collect();
     eprintln!(
-        "[search({}): scored {model_evals} candidates ({feasible} compiled), simulating {}, \
+        "[search: scored {model_evals} candidates ({compiled} compiled), simulating {}, \
          {} dropped from simulation]",
-        strategy.name(),
         chosen.len(),
-        feasible - chosen.len()
+        compiled - chosen.len()
     );
     let chosen_opts: Vec<CompileOptions> =
         chosen.iter().map(|&i| explored[i].options.clone()).collect();
@@ -681,29 +620,33 @@ pub fn run_search(
     let mut points: Vec<SearchPoint> = explored
         .into_iter()
         .map(|p| SearchPoint {
+            predicted_seconds: p.predicted(),
+            failure: p.score.err().map(SearchFailure::Compile),
             options: p.options,
-            predicted_seconds: p.predicted_seconds.is_finite().then_some(p.predicted_seconds),
             simulated_seconds: None,
-            failure: None,
             round: p.round,
         })
         .collect();
     let mut best: Option<(f64, usize)> = None;
-    for (j, res) in sims.iter().enumerate() {
-        let i = chosen[j];
+    for (&i, res) in chosen.iter().zip(sims) {
         match res {
             Ok(sec) => {
-                points[i].simulated_seconds = Some(*sec);
-                // Strict `<` keeps first-best-wins in rank order.
-                if best.is_none_or(|(b, _)| *sec < b) {
-                    best = Some((*sec, i));
+                points[i].simulated_seconds = Some(sec);
+                // Ties go to the earlier evaluation, so a sweep picks the
+                // serial loop's first-best winner.
+                if best.is_none_or(|(b, bi)| sec < b || (sec == b && i < bi)) {
+                    best = Some((sec, i));
                 }
             }
-            Err(e) => points[i].failure = Some(e.clone()),
+            Err(e) => points[i].failure = Some(SearchFailure::Launch(e)),
         }
     }
     let (best_seconds, bi) = best.ok_or_else(|| {
-        crate::CompileError::ResourceExhausted("no schedule-search candidate ran".into())
+        let why = points
+            .iter()
+            .find_map(|p| p.failure.as_ref())
+            .map_or(String::new(), |f| format!(" (first failure: {f})"));
+        crate::CompileError::ResourceExhausted(format!("no schedule-search candidate ran{why}"))
     })?;
 
     // Trajectory rollup: cumulative bests per round.
@@ -730,7 +673,6 @@ pub fn run_search(
     }
 
     Ok(SearchOutcome {
-        strategy: strategy.name(),
         simulations: chosen.len(),
         model_evals,
         best_options: points[bi].options.clone(),
@@ -750,84 +692,40 @@ pub struct SearchResult {
     pub outcome: SearchOutcome,
 }
 
-/// Beam-search the full schedule space for `dfg` on `arch`, seeded at
-/// `base` (the caller's default options — e.g. the serve layer's
-/// per-kernel defaults), using the static model as the cost function and
-/// `TimingOnly` probe launches as the oracle. See the module docs for
-/// the contract; see [`autotune_search_with_jobs`] for determinism.
-pub fn autotune_search(
-    dfg: &Dfg,
-    arch: &GpuArch,
-    base: &CompileOptions,
-    budget: &SearchBudget,
-    probe_points: usize,
-    inputs_for: &(dyn Fn(&gpu_sim::isa::Kernel, usize) -> Vec<Vec<f64>> + Sync),
-) -> CResult<SearchResult> {
-    autotune_search_with_jobs(
-        dfg,
-        arch,
-        base,
-        budget,
-        probe_points,
-        inputs_for,
-        crate::pool::default_jobs(),
-    )
-}
-
-/// [`autotune_search`] with an explicit worker count. Batches are scored
-/// and simulated on the ordered pool and folded in input order, so the
-/// result is bit-identical at any worker count.
-pub fn autotune_search_with_jobs(
-    dfg: &Dfg,
-    arch: &GpuArch,
-    base: &CompileOptions,
-    budget: &SearchBudget,
-    probe_points: usize,
-    inputs_for: &(dyn Fn(&gpu_sim::isa::Kernel, usize) -> Vec<Vec<f64>> + Sync),
-    jobs: usize,
-) -> CResult<SearchResult> {
-    let space = SearchSpace::for_arch(arch);
-    autotune_search_in_space_with_jobs(
-        dfg, arch, &space, base, &BeamSearch, budget, probe_points, inputs_for, jobs,
-    )
-}
-
-/// The fully-parameterized search entry: explicit space and strategy.
-/// [`autotune_search`] is this with [`SearchSpace::for_arch`] and
-/// [`BeamSearch`].
-#[allow(clippy::too_many_arguments)]
-pub fn autotune_search_in_space_with_jobs(
+/// Search schedules for `dfg` on `arch` from `seeds` (see [`run_search`]),
+/// scoring each candidate by compiling it and predicting a
+/// `probe_points`-point launch (rounded up to whole CTAs) with the static
+/// model, and simulating the chosen survivors as `TimingOnly` probe
+/// launches over `inputs_for`'s arrays. Compiles and probes run on
+/// `budget.jobs` workers of the ordered pool, so the result is
+/// bit-identical at any worker count.
+///
+/// [`crate::Compiler::search`] is this with [`SearchSpace::for_arch`]
+/// and its seeds; a sweep passes the candidate list itself.
+pub fn search_kernel(
     dfg: &Dfg,
     arch: &GpuArch,
     space: &SearchSpace,
-    base: &CompileOptions,
-    strategy: &dyn ScheduleSearch,
+    seeds: &[CompileOptions],
     budget: &SearchBudget,
     probe_points: usize,
     inputs_for: &(dyn Fn(&gpu_sim::isa::Kernel, usize) -> Vec<Vec<f64>> + Sync),
-    jobs: usize,
 ) -> CResult<SearchResult> {
-    let mut score = |cands: &[CompileOptions]| -> Vec<f64> {
-        run_ordered(jobs, cands.len(), |i| {
-            match compile_warp_specialized(dfg, &cands[i], arch, None) {
-                // Failed compiles score +inf, exactly as in serve's
-                // autotune — they can never be chosen for simulation.
-                Err(_) => f64::INFINITY,
-                Ok(c) => {
-                    let ppc = c.kernel.points_per_cta;
-                    let grid = probe_points.div_ceil(ppc) * ppc;
-                    crate::perfmodel::predict_seconds(&c.kernel, arch, grid)
-                        .unwrap_or(f64::INFINITY)
-                }
-            }
+    let probe_grid =
+        |k: &gpu_sim::isa::Kernel| probe_points.div_ceil(k.points_per_cta) * k.points_per_cta;
+    let mut score = |cands: &[CompileOptions]| -> Vec<Result<f64, String>> {
+        run_ordered(budget.jobs, cands.len(), |i| {
+            let c = compile_warp_specialized(dfg, &cands[i], arch, None)
+                .map_err(|e| e.to_string())?;
+            Ok(crate::perfmodel::predict_seconds(&c.kernel, arch, probe_grid(&c.kernel))
+                .unwrap_or(f64::INFINITY))
         })
     };
     let mut simulate = |cands: &[CompileOptions]| -> Vec<Result<f64, String>> {
-        run_ordered(jobs, cands.len(), |i| {
+        run_ordered(budget.jobs, cands.len(), |i| {
             let c = compile_warp_specialized(dfg, &cands[i], arch, None)
                 .map_err(|e| e.to_string())?;
-            let ppc = c.kernel.points_per_cta;
-            let grid = probe_points.div_ceil(ppc) * ppc;
+            let grid = probe_grid(&c.kernel);
             let owned = inputs_for(&c.kernel, grid);
             let arrays: Vec<&[f64]> = owned.iter().map(|v| v.as_slice()).collect();
             launch(&c.kernel, arch, &LaunchInputs { arrays }, grid, LaunchMode::TimingOnly)
@@ -835,9 +733,9 @@ pub fn autotune_search_in_space_with_jobs(
                 .map_err(|e| e.to_string())
         })
     };
-    let outcome = run_search(strategy, space, base, budget, &mut score, &mut simulate)?;
-    // Re-compile the winner (compilation is deterministic and cached
-    // upstream where it matters) so callers get a runnable artifact.
+    let outcome = run_search(space, seeds, budget, &mut score, &mut simulate)?;
+    // Re-compile the winner (compilation is deterministic) so callers get
+    // a runnable artifact.
     let best = compile_warp_specialized(dfg, &outcome.best_options, arch, None)?;
     Ok(SearchResult { best, outcome })
 }
@@ -845,15 +743,81 @@ pub fn autotune_search_in_space_with_jobs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::launch_arrays;
+    use crate::kernels::viscosity::viscosity_dfg;
+    use chemkin::reference::tables::ViscosityTables;
+    use chemkin::state::{GridDims, GridState};
+    use chemkin::synth;
+
+    /// Exhaustively sweep `cands` over a small viscosity kernel: every
+    /// candidate scored, every compiled one simulated. Probe inputs are
+    /// truncated for kernels with `sabotage_warps` warps, so their launch
+    /// fails.
+    fn sweep(arch: &GpuArch, cands: &[CompileOptions], sabotage_warps: usize) -> SearchResult {
+        let m = synth::via_text(&synth::SynthConfig {
+            name: "sweep".into(),
+            n_species: 6,
+            n_reactions: 8,
+            n_qssa: 0,
+            n_stiff: 0,
+            seed: 4,
+        });
+        let dfg = viscosity_dfg(&ViscosityTables::build(&m), 3);
+        let n = cands.len();
+        let budget = SearchBudget::builder().rounds(0).max_model_evals(n).sim_top_k(n).build();
+        let space = SearchSpace::for_arch(arch);
+        search_kernel(&dfg, arch, &space, cands, &budget, 256, &|k, pts| {
+            let g = GridState::random(GridDims { nx: pts, ny: 1, nz: 1 }, 6, 1);
+            let mut arrays: Vec<Vec<f64>> = launch_arrays(&k.global_arrays, &g)
+                .expect("known arrays")
+                .iter()
+                .map(|s| s.to_vec())
+                .collect();
+            if k.warps_per_cta == sabotage_warps {
+                for a in &mut arrays {
+                    a.truncate(1);
+                }
+            }
+            arrays
+        })
+        .expect("some candidate runs")
+    }
 
     #[test]
     fn budget_defaults_reproduce_the_historical_caps() {
         let b = SearchBudget::default();
-        assert_eq!(b.sim_top_k, GUIDED_TOP_K);
-        let built = SearchBudget::builder().beam_width(3).rounds(1).build();
+        assert_eq!(b.sim_top_k, 5);
+        assert_eq!(b.jobs, crate::pool::default_jobs());
+        let built = SearchBudget::builder().beam_width(3).rounds(1).jobs(2).build();
         assert_eq!(built.beam_width, 3);
         assert_eq!(built.rounds, 1);
-        assert_eq!(built.sim_top_k, GUIDED_TOP_K);
+        assert_eq!(built.jobs, 2);
+        assert_eq!(built.sim_top_k, 5);
+    }
+
+    #[test]
+    fn grid_options_and_depth_menu_size_the_candidate_grids() {
+        // The paper's coarse grid: 8 warp counts x 2 stream depths...
+        assert_eq!(grid_options(Placement::Store, &[1, 4], &[1]).len(), 16);
+        // ...a finer streaming axis, which guided search (top-5)
+        // simulates at most a quarter of...
+        let extended = grid_options(Placement::Store, &[1, 2, 4], &[1]);
+        assert_eq!(extended.len(), 24);
+        assert!(SearchBudget::default().sim_top_k * 4 <= extended.len());
+        // ...and the pipeline-depth axis, whose menu scales with the
+        // barrier file: iters=1 admits only K=1, iters=4 the full menu.
+        let hopper = GpuArch::hopper();
+        let kepler = GpuArch::kepler_k20c();
+        let h = grid_options(Placement::Store, &[1, 4], depth_menu(&hopper));
+        let k = grid_options(Placement::Store, &[1, 4], depth_menu(&kepler));
+        assert_eq!(h.len(), 8 * (1 + 3));
+        assert_eq!(k.len(), 8 * (1 + 2));
+        assert!(h.iter().any(|o| o.pipeline_depth == 4));
+        assert!(k.iter().all(|o| o.pipeline_depth <= 2));
+        // Depth never exceeds what the stream can absorb.
+        for o in h.iter().chain(&k) {
+            assert!(o.pipeline_depth as u32 <= o.point_iters.max(1));
+        }
     }
 
     #[test]
@@ -895,7 +859,7 @@ mod tests {
         let seeds = space.seeds(&base);
         // The extended grid (iters 1/2/4, depth 1) is a subset of the
         // seed beam at the same placement.
-        for g in crate::autotune::candidate_grid_extended(base.placement) {
+        for g in grid_options(base.placement, &[1, 2, 4], &[1]) {
             let g = space.canonical(g).unwrap();
             assert!(
                 seeds.iter().any(|s| SearchSpace::key(s) == SearchSpace::key(&g)),
@@ -908,47 +872,73 @@ mod tests {
     }
 
     #[test]
-    fn annealing_walks_are_bit_identical_per_seed() {
-        let arch = GpuArch::kepler_k20c();
-        let space = SearchSpace::for_arch(&arch);
-        let base = CompileOptions::default();
-        // Large enough that the walk runs well past the seed beam
-        // (kepler's seed beam is ~57 points).
-        let budget = SearchBudget::builder().max_model_evals(100).build();
-        // A synthetic, deterministic cost: cheap hash of the options key.
-        let mut cost = |cands: &[CompileOptions]| -> Vec<f64> {
-            cands
-                .iter()
-                .map(|c| {
-                    let k = SearchSpace::key(c);
-                    k.bytes().fold(7u64, |a, b| a.wrapping_mul(31).wrapping_add(b as u64)) as f64
-                })
-                .collect()
-        };
-        let sa = SimulatedAnnealing::default();
-        let a = sa.explore(&space, &base, &budget, &mut cost);
-        let b = sa.explore(&space, &base, &budget, &mut cost);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(SearchSpace::key(&x.options), SearchSpace::key(&y.options));
-            assert_eq!(x.predicted_seconds.to_bits(), y.predicted_seconds.to_bits());
-        }
-        // A different seed explores a different walk.
-        let c = SimulatedAnnealing { seed: 99, ..SimulatedAnnealing::default() }
-            .explore(&space, &base, &budget, &mut cost);
-        let ka: Vec<String> = a.iter().map(|p| SearchSpace::key(&p.options)).collect();
-        let kc: Vec<String> = c.iter().map(|p| SearchSpace::key(&p.options)).collect();
-        assert_ne!(ka, kc);
-    }
-
-    #[test]
     fn beam_respects_the_model_eval_cap() {
         let arch = GpuArch::hopper();
         let space = SearchSpace::for_arch(&arch);
         let budget = SearchBudget::builder().max_model_evals(17).build();
-        let mut cost =
-            |cands: &[CompileOptions]| -> Vec<f64> { cands.iter().map(|_| 1.0).collect() };
-        let pts = BeamSearch.explore(&space, &CompileOptions::default(), &budget, &mut cost);
+        let mut cost = |cands: &[CompileOptions]| -> Vec<Result<f64, String>> {
+            cands.iter().map(|_| Ok(1.0)).collect()
+        };
+        let seeds = space.seeds(&CompileOptions::default());
+        let pts = explore(&space, &seeds, &budget, &mut cost);
         assert!(pts.len() <= 17, "{}", pts.len());
+    }
+
+    #[test]
+    fn failed_candidates_record_distinct_reasons() {
+        // Absurd warp count: cannot fit the SM, must record a Compile
+        // failure (not a bare seconds=None).
+        let cands = vec![CompileOptions::with_warps(3), CompileOptions::with_warps(4096)];
+        let r = sweep(&GpuArch::kepler_k20c(), &cands, 0);
+        let p = &r.outcome.points;
+        assert!(p[0].simulated_seconds.is_some());
+        assert!(p[0].failure.is_none());
+        assert!(p[1].simulated_seconds.is_none());
+        assert!(matches!(p[1].failure, Some(SearchFailure::Compile(_))));
+    }
+
+    #[test]
+    fn compile_and_launch_failures_are_distinct() {
+        // Candidate 0: valid. Candidate 1: a one-slot buffered placement
+        // that cannot fit the kernel's simultaneously-live values ->
+        // Compile failure. Candidate 2: compiles, but the harness hands it
+        // truncated input arrays -> Launch failure.
+        let cands = vec![
+            CompileOptions::with_warps(3),
+            CompileOptions::builder().warps(3).placement(Placement::Buffer(1)).build(),
+            CompileOptions::with_warps(4),
+        ];
+        let r = sweep(&GpuArch::kepler_k20c(), &cands, 4);
+        let p = &r.outcome.points;
+
+        // The valid probe: a time, no failure.
+        assert!(p[0].simulated_seconds.is_some());
+        assert!(p[0].failure.is_none());
+        // The unfittable placement: Compile, never Launch.
+        assert!(p[1].simulated_seconds.is_none());
+        assert!(matches!(p[1].failure, Some(SearchFailure::Compile(_))));
+        // The sabotaged probe: Launch, never Compile.
+        assert!(p[2].simulated_seconds.is_none());
+        assert!(matches!(p[2].failure, Some(SearchFailure::Launch(_))));
+        // The two failure kinds render distinctly.
+        let c = p[1].failure.as_ref().unwrap().to_string();
+        let l = p[2].failure.as_ref().unwrap().to_string();
+        assert!(c.starts_with("did not compile:"), "{c}");
+        assert!(l.starts_with("compiled but failed to run:"), "{l}");
+        // And the winner is the valid probe, not a failed one.
+        assert_eq!(r.outcome.best_options.warps, 3);
+    }
+
+    #[test]
+    fn sweep_probes_the_pipeline_depth_axis() {
+        let cands: Vec<CompileOptions> = [1, 2, 4]
+            .iter()
+            .map(|&k| CompileOptions::builder().warps(3).point_iters(4).pipeline_depth(k).build())
+            .collect();
+        let r = sweep(&GpuArch::hopper(), &cands, 0);
+        // Every depth compiles and runs on Hopper; the winner is whichever
+        // depth the timing model scores best — the axis is genuinely live.
+        let p = &r.outcome.points;
+        assert!(p.iter().all(|p| p.simulated_seconds.is_some()), "{p:?}");
     }
 }

@@ -26,7 +26,14 @@ use crate::engine::EngineProgram;
 use crate::interp::{flatten, FlatProgram};
 use crate::isa::*;
 
-const MAX_ENTRIES: usize = 256;
+/// Reuse is short-range: a sweep verifies, models and launches one kernel
+/// back to back, so a few dozen entries keep every hit that matters. A
+/// DME-sized entry (flattening plus lowering) is ~7 MB, and a schedule
+/// search churns through hundreds of kernels: at 256 entries its peak RSS
+/// sat near 2.1 GB and swung by ~300 MB from run to run with how the
+/// allocator's per-thread arenas reused the cleared memory; at 64 it is
+/// ~0.8 GB and steady.
+const MAX_ENTRIES: usize = 64;
 
 /// One memo slot per fingerprint. Concurrent requests for the same kernel
 /// all block on a single flatten/lower via `OnceLock::get_or_init` instead

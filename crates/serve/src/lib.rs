@@ -9,7 +9,7 @@
 //! 1. **Session API** ([`session`]) — [`ServeSession::open`] owns a
 //!    mechanism registry and a typed request surface:
 //!    [`CompileRequest`] `->` [`ArtifactHandle`], plus `probe` /
-//!    `predict` / `autotune` built on the same cached artifacts.
+//!    `predict` / `search` built on the same cached artifacts.
 //! 2. **Persistent artifact cache** ([`artifact`]) — versioned,
 //!    content-addressed compiled-kernel artifacts on disk. Corrupt or
 //!    stale entries are recompiled, never surfaced as errors;

@@ -395,62 +395,20 @@ impl ServeSession {
         Ok(estimate(&handle.artifact.kernel, &req.arch.arch(), &counts, grid_points))
     }
 
-    /// Autotune across `candidates`: compile each (through the cache and
-    /// scheduler — shared candidates across sessions hit warm), predict
-    /// each at `grid_points`, return `(best index, predicted seconds per
-    /// candidate)`. Candidates that fail to compile predict as infinity.
-    pub fn autotune(
-        &self,
-        req: &CompileRequest,
-        candidates: &[CompileOptions],
-        grid_points: usize,
-    ) -> ServeResult<(usize, Vec<f64>)> {
-        if candidates.is_empty() {
-            return Err(ServeError::Internal("autotune with no candidates".into()));
-        }
-        // Queue all compiles first so the farm works them concurrently...
-        let tickets: Vec<_> = candidates
-            .iter()
-            .map(|opts| self.submit(&req.clone().with_options(opts.clone())))
-            .collect();
-        // ...then collect and predict.
-        let mut seconds = Vec::with_capacity(candidates.len());
-        for (ticket, opts) in tickets.into_iter().zip(candidates) {
-            let creq = req.clone().with_options(opts.clone());
-            let s = match ticket.and_then(|t| t.wait()) {
-                Ok(_) => self.predict(&creq, grid_points)?.seconds,
-                Err(ServeError::Compile(_)) => f64::INFINITY,
-                Err(e) => return Err(e),
-            };
-            seconds.push(s);
-        }
-        let best = seconds
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .expect("non-empty");
-        if seconds[best].is_infinite() {
-            return Err(ServeError::Internal("no autotune candidate compiled".into()));
-        }
-        Ok((best, seconds))
-    }
-
     /// Model-driven schedule search ([`singe::search`]) under a
-    /// [`SearchBudget`], instead of a caller-supplied candidate list:
-    /// beam-search the full options space seeded at the request's
-    /// options (or the per-kernel defaults), scoring every candidate
-    /// with the static model over *cached* artifacts — compiles ride
-    /// the scheduler and artifact store exactly like
-    /// [`ServeSession::autotune`], so repeated searches and overlapping
-    /// beams hit warm — and simulating only the top-K survivors through
-    /// the memoized probe ([`ServeSession::predict`]), which reuses the
-    /// artifact cache for the oracle too. Candidates that fail to
-    /// compile score infinity, as in [`ServeSession::autotune`];
-    /// service-level errors (overload, shutdown) abort the search.
+    /// [`SearchBudget`]: beam-search the full options space seeded at the
+    /// request's options (or the per-kernel defaults), scoring every
+    /// candidate with the static model over *cached* artifacts — compiles
+    /// ride the scheduler and artifact store, so repeated searches and
+    /// overlapping beams hit warm — and simulating only the top-K
+    /// survivors through the memoized probe ([`ServeSession::predict`]),
+    /// which reuses the artifact cache for the oracle too. Candidates that
+    /// fail to compile record the compiler's message; service-level errors
+    /// (overload, shutdown) abort the search. `budget.jobs` is unused: the
+    /// farm sets the concurrency.
     ///
     /// Returns the winning options plus the full audit trail.
-    pub fn autotune_search(
+    pub fn search(
         &self,
         req: &CompileRequest,
         budget: &SearchBudget,
@@ -466,7 +424,7 @@ impl ServeSession {
         // Service-level failures inside the scoring closures surface
         // here after the search returns.
         let service_err: Mutex<Option<ServeError>> = Mutex::new(None);
-        let mut score = |cands: &[CompileOptions]| -> Vec<f64> {
+        let mut score = |cands: &[CompileOptions]| -> Vec<Result<f64, String>> {
             // Queue the whole batch first so the farm works it
             // concurrently, then collect and predict in input order.
             let tickets: Vec<_> = cands
@@ -479,13 +437,14 @@ impl ServeSession {
                     Ok(handle) => {
                         let ppc = handle.artifact.kernel.points_per_cta;
                         let grid = grid_points.div_ceil(ppc) * ppc;
-                        singe::perfmodel::predict_seconds(&handle.artifact.kernel, &arch, grid)
-                            .unwrap_or(f64::INFINITY)
+                        Ok(singe::perfmodel::predict_seconds(&handle.artifact.kernel, &arch, grid)
+                            .unwrap_or(f64::INFINITY))
                     }
-                    Err(ServeError::Compile(_)) => f64::INFINITY,
+                    Err(ServeError::Compile(e)) => Err(e.to_string()),
                     Err(e) => {
+                        let msg = e.to_string();
                         service_err.lock().unwrap().get_or_insert(e);
-                        f64::INFINITY
+                        Err(msg)
                     }
                 })
                 .collect()
@@ -502,9 +461,8 @@ impl ServeSession {
                 .collect()
         };
         let outcome = singe::search::run_search(
-            &singe::search::BeamSearch,
             &space,
-            &base,
+            &space.seeds(&base),
             budget,
             &mut score,
             &mut simulate,

@@ -250,11 +250,10 @@ fn typed_errors_list_valid_ids() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Predict and autotune both ride the same cached artifacts: a predict
-/// after a compile must not add a cold compile, and autotune returns a
-/// finite best.
+/// Predict rides the cached artifacts: a predict after a compile must
+/// not add a cold compile.
 #[test]
-fn predict_and_autotune_reuse_cached_artifacts() {
+fn predict_reuses_cached_artifacts() {
     let dir = cache_dir("predict");
     let session = open(&dir);
     session.register_synth(&synth::dme_config()).unwrap();
@@ -269,16 +268,6 @@ fn predict_and_autotune_reuse_cached_artifacts() {
         after_compile,
         "predict must reuse the cached artifact, not recompile"
     );
-
-    let n = synth::dme_config().n_species;
-    let candidates = vec![
-        singe_serve::default_options(KernelId::Viscosity, n, &ArchId::Kepler.arch()),
-        singe::CompileOptions::with_warps(8),
-    ];
-    let (best, seconds) =
-        session.autotune(&req, &candidates, 64 * 64 * 64).expect("autotune");
-    assert!(best < candidates.len());
-    assert!(seconds[best].is_finite() && seconds[best] > 0.0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -301,7 +290,7 @@ fn schedule_search_runs_through_the_cache() {
         .build();
 
     let (best, outcome) =
-        session.autotune_search(&req, &budget, 64 * 64).expect("search runs");
+        session.search(&req, &budget, 64 * 64).expect("search runs");
     assert!(best.warps > 0);
     assert!(outcome.best_seconds.is_finite() && outcome.best_seconds > 0.0);
     assert!(outcome.model_evals <= 10, "eval cap violated: {}", outcome.model_evals);
@@ -311,7 +300,7 @@ fn schedule_search_runs_through_the_cache() {
     // new — every candidate is answered from disk or memory.
     let cold_before = session.stats().cold_compiles;
     let (best2, outcome2) =
-        session.autotune_search(&req, &budget, 64 * 64).expect("warm search runs");
+        session.search(&req, &budget, 64 * 64).expect("warm search runs");
     assert_eq!(session.stats().cold_compiles, cold_before, "warm search recompiled");
     assert_eq!(format!("{best:?}"), format!("{best2:?}"), "search is not deterministic");
     assert_eq!(outcome.best_seconds.to_bits(), outcome2.best_seconds.to_bits());

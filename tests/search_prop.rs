@@ -10,7 +10,7 @@
 //!   different optimum.
 //! * **Determinism**: search results (winner, every predicted and
 //!   simulated value, evaluation order) are bit-stable across `--jobs 1`
-//!   vs `--jobs 8`.
+//!   vs `--jobs 8`, for the beam and for exhaustive and guided sweeps.
 //! * **Safety**: every schedule the search returns — the winner and
 //!   every oracle-simulated survivor — passes the independent PR 1
 //!   verifier at `Strict`.
@@ -19,14 +19,10 @@ use chemkin::reference::tables::ViscosityTables;
 use chemkin::state::{GridDims, GridState};
 use chemkin::synth;
 use gpu_sim::arch::GpuArch;
-use singe::autotune::autotune_with_jobs;
 use singe::config::{CompileOptions, Placement};
 use singe::kernels::launch_arrays;
 use singe::kernels::viscosity::viscosity_dfg;
-use singe::search::{
-    autotune_search_in_space_with_jobs, autotune_search_with_jobs, BeamSearch, SearchBudget,
-    SearchSpace,
-};
+use singe::search::{search_kernel, SearchBudget, SearchResult, SearchSpace};
 use singe::verify::verify_kernel;
 use singe::VerifyLevel;
 
@@ -85,22 +81,27 @@ fn full_width_beam_matches_the_exhaustive_sweep() {
     // candidate compiled and simulated.
     let all = space.enumerate(&base);
     assert!(all.len() >= 8 && all.len() <= 32, "space should be small, got {}", all.len());
-    let sweep = autotune_with_jobs(&dfg, &arch, &all, 256, &inputs, 2).expect("sweep runs");
-    let sweep_best =
-        sweep.points.iter().filter_map(|p| p.seconds).fold(f64::INFINITY, f64::min);
+    let n = all.len();
+    let sweep = SearchBudget::builder().rounds(0).max_model_evals(n).sim_top_k(n).jobs(2).build();
+    let sweep = search_kernel(&dfg, &arch, &space, &all, &sweep, 256, &inputs).expect("sweep runs");
+    let sweep_best = sweep
+        .outcome
+        .points
+        .iter()
+        .filter_map(|p| p.simulated_seconds)
+        .fold(f64::INFINITY, f64::min);
 
     // Full-width beam, full simulation budget: the beam prunes nothing,
     // so its oracle must see (at least) every candidate the sweep ran.
     let budget = SearchBudget::builder()
-        .beam_width(all.len())
+        .beam_width(n)
         .rounds(8)
-        .sim_top_k(all.len())
-        .max_model_evals(10 * all.len())
+        .sim_top_k(n)
+        .max_model_evals(10 * n)
+        .jobs(2)
         .build();
-    let search = autotune_search_in_space_with_jobs(
-        &dfg, &arch, &space, &base, &BeamSearch, &budget, 256, &inputs, 2,
-    )
-    .expect("search runs");
+    let search = search_kernel(&dfg, &arch, &space, &space.seeds(&base), &budget, 256, &inputs)
+        .expect("search runs");
     assert_eq!(
         search.outcome.best_seconds.to_bits(),
         sweep_best.to_bits(),
@@ -112,26 +113,28 @@ fn full_width_beam_matches_the_exhaustive_sweep() {
     assert_eq!(search.outcome.model_evals, all.len());
 }
 
-#[test]
-fn search_is_bit_stable_across_worker_counts() {
-    let mech = synth_mech(6, 42);
-    let t = ViscosityTables::build(&mech);
-    let dfg = viscosity_dfg(&t, 3);
-    let arch = GpuArch::kepler_k20c();
-    let base = CompileOptions::with_warps(3);
-    let budget =
-        SearchBudget::builder().beam_width(4).rounds(2).sim_top_k(3).max_model_evals(72).build();
+/// Run the same search at jobs=1 and jobs=8 and require bit-identical
+/// outcomes.
+fn assert_bit_stable(
+    dfg: &singe::Dfg,
+    arch: &GpuArch,
+    seeds: &[CompileOptions],
+    budget: SearchBudget,
+) -> SearchResult {
+    let space = SearchSpace::for_arch(arch);
     let inputs = inputs_for(6);
-
-    let a = autotune_search_with_jobs(&dfg, &arch, &base, &budget, 256, &inputs, 1)
-        .expect("search at jobs=1");
-    let b = autotune_search_with_jobs(&dfg, &arch, &base, &budget, 256, &inputs, 8)
-        .expect("search at jobs=8");
+    let run = |jobs: usize| {
+        let mut budget = budget.clone();
+        budget.jobs = jobs;
+        search_kernel(dfg, arch, &space, seeds, &budget, 256, &inputs).expect("search runs")
+    };
+    let (a, b) = (run(1), run(8));
 
     assert_eq!(format!("{:?}", a.outcome.best_options), format!("{:?}", b.outcome.best_options));
     assert_eq!(a.outcome.best_seconds.to_bits(), b.outcome.best_seconds.to_bits());
     assert_eq!(a.outcome.model_evals, b.outcome.model_evals);
     assert_eq!(a.outcome.simulations, b.outcome.simulations);
+    assert!(a.outcome.simulations <= budget.sim_top_k);
     assert_eq!(a.outcome.points.len(), b.outcome.points.len());
     for (pa, pb) in a.outcome.points.iter().zip(&b.outcome.points) {
         assert_eq!(format!("{:?}", pa.options), format!("{:?}", pb.options));
@@ -143,7 +146,37 @@ fn search_is_bit_stable_across_worker_counts() {
             pa.simulated_seconds.map(f64::to_bits),
             pb.simulated_seconds.map(f64::to_bits)
         );
+        assert_eq!(pa.failure, pb.failure);
         assert_eq!(pa.round, pb.round);
+    }
+    a
+}
+
+#[test]
+fn search_is_bit_stable_across_worker_counts() {
+    let mech = synth_mech(6, 42);
+    let t = ViscosityTables::build(&mech);
+    let dfg = viscosity_dfg(&t, 3);
+    let arch = GpuArch::kepler_k20c();
+
+    // The beam over the full space.
+    let base = CompileOptions::with_warps(3);
+    let budget =
+        SearchBudget::builder().beam_width(4).rounds(2).sim_top_k(3).max_model_evals(72).build();
+    assert_bit_stable(&dfg, &arch, &SearchSpace::for_arch(&arch).seeds(&base), budget);
+
+    // Exhaustive and guided (top-3) sweeps of a fixed warp-count list.
+    let cands: Vec<CompileOptions> =
+        [2usize, 3, 4, 6, 8, 12].iter().map(|&w| CompileOptions::with_warps(w)).collect();
+    let n = cands.len();
+    for top_k in [n, 3] {
+        let sweep = SearchBudget::builder().rounds(0).max_model_evals(n).sim_top_k(top_k).build();
+        let r = assert_bit_stable(&dfg, &arch, &cands, sweep);
+        // Every compiled candidate carries a prediction (warps=2 cannot
+        // compile for this DFG).
+        for p in &r.outcome.points {
+            assert_eq!(p.predicted_seconds.is_some(), p.failure.is_none(), "{:?}", p.options.warps);
+        }
     }
 }
 
@@ -160,9 +193,12 @@ fn every_returned_schedule_passes_strict_verification() {
             .rounds(2)
             .sim_top_k(4)
             .max_model_evals(64)
+            .jobs(2)
             .build();
-        let search = autotune_search_with_jobs(&dfg, &arch, &base, &budget, 256, &inputs, 2)
-            .expect("search runs");
+        let space = SearchSpace::for_arch(&arch);
+        let search =
+            search_kernel(&dfg, &arch, &space, &space.seeds(&base), &budget, 256, &inputs)
+                .expect("search runs");
         // The winner passes the independent verifier...
         assert!(
             verify_kernel(&search.best.kernel, &arch).is_ok(),
